@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -55,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import Telemetry
     from repro.obs.tracer import Tracer
     from repro.simulator.engine import Simulation
-    from repro.experiments.sharding import ShardConfig, ShardRuntime
     from repro.simulator.observer import InvariantObserver
     from repro.traces.base import TraceSource
     from repro.util.rng import RngStreams
@@ -63,7 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_SCHEMA_VERSION",
-    "SHARDED_SCHEMA_VERSION",
     "SUPPORTED_SCHEMA_VERSIONS",
     "RunEnv",
     "save_checkpoint",
@@ -76,16 +74,11 @@ CHECKPOINT_SCHEMA = "glap-checkpoint"
 #: of one dict per machine — the natural dump of the columnar store and
 #: ~3x smaller.  Version 1 files are still read: their per-object dicts
 #: are converted to columns at load time.
-#:
-#: Version 3 is written *only* by sharded runs: the PM/VM columns are
-#: stored as per-shard chunks (one list per shard, concatenation
-#: restores the global column exactly) and a top-level ``sharding``
-#: section carries the shard map plus the cross-shard ledger state.
-#: Unsharded runs keep writing version 2, so every pre-existing
-#: consumer is untouched.
 CHECKPOINT_SCHEMA_VERSION = 2
-SHARDED_SCHEMA_VERSION = 3
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
+SUPPORTED_SCHEMA_VERSIONS = (1, 2)
+#: Version 3 was written by the multi-process runner, which has been
+#: removed; such files are rejected with a dedicated message.
+_RETIRED_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -106,27 +99,11 @@ class RunEnv:
     collector: Optional[MetricsCollector] = None
     controller: Optional["FaultController"] = None
     invariant_observer: Optional["InvariantObserver"] = None
-    #: Shard runtime for a sharded run (``None`` for single-process).
-    sharding: Optional["ShardRuntime"] = None
     #: Evaluation rounds completed so far (0 for a run still in warmup).
     eval_rounds_done: int = 0
 
 
 # -- capture -----------------------------------------------------------------
-
-
-def _chunk_columns(
-    cols: Dict[str, Any], bounds: List[tuple]
-) -> Dict[str, Any]:
-    """Schema-v3 encoding: split each column list into per-shard chunks.
-
-    Concatenating the chunks in shard order restores the v2 column
-    exactly, so the two encodings are loss-free transforms of each
-    other.
-    """
-    return {
-        name: [values[a:b] for a, b in bounds] for name, values in cols.items()
-    }
 
 
 def _capture_pm_columns(dc: "DataCenter") -> Dict[str, Any]:
@@ -174,16 +151,10 @@ def _capture_vm_columns(dc: "DataCenter") -> Dict[str, Any]:
 
 def _capture_state(env: RunEnv) -> Dict[str, Any]:
     dc, sim = env.dc, env.sim
-    pm_cols = _capture_pm_columns(dc)
-    vm_cols = _capture_vm_columns(dc)
-    if env.sharding is not None:
-        # v3: per-shard column chunks (see CHECKPOINT_SCHEMA_VERSION).
-        pm_cols = _chunk_columns(pm_cols, list(env.sharding.map.pm_bounds))
-        vm_cols = _chunk_columns(vm_cols, list(env.sharding.map.vm_bounds))
     state: Dict[str, Any] = {
         "nodes": {str(n.node_id): n.state.value for n in sim.nodes},
-        "pms": pm_cols,
-        "vms": vm_cols,
+        "pms": _capture_pm_columns(dc),
+        "vms": _capture_vm_columns(dc),
         # Per-PM VM id lists, in each PM's insertion order (see module
         # docstring: the order is float-summation order).
         "placement": (
@@ -245,11 +216,7 @@ def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> Dict[str, Any]:
     plan = env.controller.plan if env.controller is not None else None
     payload: Dict[str, Any] = {
         "schema": CHECKPOINT_SCHEMA,
-        "schema_version": (
-            SHARDED_SCHEMA_VERSION
-            if env.sharding is not None
-            else CHECKPOINT_SCHEMA_VERSION
-        ),
+        "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "scenario": scenario_to_dict(env.scenario),
         "policy": env.policy.name,
         "seed": env.seed,
@@ -263,8 +230,6 @@ def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> Dict[str, Any]:
         "rng": env.streams.state_dict(),
         "state": _capture_state(env),
     }
-    if env.sharding is not None:
-        payload["sharding"] = env.sharding.state_dict()
     atomic_write_text(json.dumps(payload), path)
     return payload
 
@@ -291,6 +256,10 @@ def _validate(payload: Any, *, where: str) -> None:
             f"{CHECKPOINT_SCHEMA!r}"
         )
     version = payload.get("schema_version")
+    if version == _RETIRED_SCHEMA_VERSION:
+        raise ValueError(
+            f"{where}: sharded checkpoints (schema_version {version}) are no longer supported"
+        )
     if version not in SUPPORTED_SCHEMA_VERSIONS:
         raise ValueError(
             f"{where}: schema_version {version!r} unsupported "
@@ -310,33 +279,13 @@ def _validate(payload: Any, *, where: str) -> None:
     for key in ("eval_rounds_done", "sim_round_index", "dc_current_round"):
         if key not in progress:
             raise ValueError(f"{where}: progress lacks {key!r}")
-    if version == SHARDED_SCHEMA_VERSION:
-        sharding = payload.get("sharding")
-        if not isinstance(sharding, dict):
-            raise ValueError(
-                f"{where}: schema v{SHARDED_SCHEMA_VERSION} requires a "
-                "'sharding' section"
-            )
-        for key in ("n_shards", "pm_bounds", "vm_bounds", "ledger"):
-            if key not in sharding:
-                raise ValueError(f"{where}: sharding section lacks {key!r}")
 
 
 # -- restore -----------------------------------------------------------------
 
 
-def _flatten_chunks(cols: Dict[str, Any]) -> Dict[str, Any]:
-    """Undo the v3 per-shard chunking (concatenate in shard order)."""
-    return {
-        name: [x for chunk in chunks for x in chunk]
-        for name, chunks in cols.items()
-    }
-
-
 def _pm_columns(state: Dict[str, Any], version: int) -> Dict[str, Any]:
     """PM state as v2 columns, converting v1's per-object dicts."""
-    if version >= 3:
-        return _flatten_chunks(state["pms"])
     if version >= 2:
         return state["pms"]
     cols: Dict[str, Any] = {"asleep": [], "active_seconds": [], "saturated_seconds": []}
@@ -353,8 +302,6 @@ def _pm_columns(state: Dict[str, Any], version: int) -> Dict[str, Any]:
 
 def _vm_columns(state: Dict[str, Any], version: int) -> Dict[str, Any]:
     """VM state as v2 columns, converting v1's per-object dicts."""
-    if version >= 3:
-        return _flatten_chunks(state["vms"])
     if version >= 2:
         return state["vms"]
     cols: Dict[str, Any] = {
@@ -484,7 +431,6 @@ def restore_checkpoint(
     tracer: Optional["Tracer"] = None,
     profiler: Optional["NullProfiler"] = None,
     telemetry: Optional["Telemetry"] = None,
-    sharding: Optional["ShardConfig"] = None,
 ) -> RunEnv:
     """Rebuild a resumable :class:`RunEnv` from a checkpoint file.
 
@@ -500,16 +446,13 @@ def restore_checkpoint(
     registry passed here is reloaded from the checkpoint's recorded
     series (when present), so the resumed run continues every counter
     and gauge exactly where the interrupted one stopped.
-
-    ``sharding`` overrides the resumed run's shard configuration; a v3
-    (sharded) checkpoint resumes with its recorded configuration by
-    default.  Simulation results are bit-identical across shard counts,
-    so resuming under a different K is valid — only the ``shard/*``
-    accounting differs.
     """
     # Late import: the runner imports this package for saving, so the
     # restore path must pull runner-side modules in lazily.
-    from repro.experiments.sharding import ShardConfig, ShardRuntime
+    from repro.experiments.runner import build_simulation, install_observability
+    from repro.faults.controller import FaultController
+    from repro.obs.observers import OverloadTraceObserver
+    from repro.simulator.observer import InvariantObserver
 
     payload = load_checkpoint(path)
     if policy.name != payload["policy"]:
@@ -524,94 +467,13 @@ def restore_checkpoint(
         if payload.get("faults") is not None
         else None
     )
-    shard_section = payload.get("sharding")
-    shard_config: Optional[ShardConfig] = sharding
-    if shard_config is None and shard_section is not None:
-        shard_config = ShardConfig(
-            n_shards=int(shard_section["n_shards"]),
-            workers=bool(shard_section.get("workers", True)),
-            wan_factor=float(shard_section.get("wan_factor", 0.25)),
-        )
-    runtime: Optional[ShardRuntime] = None
-    if shard_config is not None:
-        runtime = ShardRuntime(
-            shard_config, scenario.n_pms, scenario.n_vms, seed
-        )
-    try:
-        return _restore_env(
-            payload,
-            policy,
-            scenario,
-            seed,
-            plan,
-            shard_section,
-            runtime,
-            trace,
-            tracer,
-            profiler,
-            telemetry,
-        )
-    except Exception:
-        # A failed restore must not leak shard workers or /dev/shm
-        # segments (shutdown is a no-op for unsharded runs).
-        if runtime is not None:
-            runtime.shutdown()
-        raise
-
-
-def _restore_env(
-    payload: Dict[str, Any],
-    policy: "ConsolidationPolicy",
-    scenario: "Scenario",
-    seed: int,
-    plan: Any,
-    shard_section: Optional[Dict[str, Any]],
-    runtime: Any,
-    trace: Optional["TraceSource"],
-    tracer: Optional["Tracer"],
-    profiler: Optional["NullProfiler"],
-    telemetry: Optional["Telemetry"],
-) -> RunEnv:
-    """The body of :func:`restore_checkpoint` (split out so the caller
-    can guarantee shard-runtime cleanup on failure)."""
-    from repro.experiments.runner import build_simulation
-    from repro.faults.controller import FaultController
-    from repro.obs.observers import OverloadTraceObserver
-    from repro.obs.profiler import NULL_PROFILER
-    from repro.obs.telemetry import NULL_TELEMETRY
-    from repro.obs.tracer import NULL_TRACER
-    from repro.simulator.observer import InvariantObserver
 
     # Replay the fresh-run setup path (see runner.run_policy) minus the
     # warmup loop: every step below is deterministic given (scenario,
     # seed), and whatever randomness it consumes is overwritten when the
     # RNG states load at the end.
-    dc, sim, streams = build_simulation(
-        scenario, seed, trace=trace, sharding=runtime
-    )
-    the_tracer = tracer if tracer is not None else NULL_TRACER
-    prof = profiler if profiler is not None else NULL_PROFILER
-    the_telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-    dc.tracer = the_tracer
-    sim.tracer = the_tracer
-    sim.profiler = prof
-    sim.network.profiler = prof
-    # Same registration order as run_policy (net, dc gauges, shard,
-    # faults, policy), so a resumed registry's providers line up with
-    # the checkpointed series.
-    sim.telemetry = the_telemetry
-    if the_telemetry.enabled:
-        the_telemetry.register_counters("net", sim.network.telemetry_counters)
-        the_telemetry.register_gauge(
-            "dc/active_pms", lambda: float(dc.active_count())
-        )
-        the_telemetry.register_gauge(
-            "dc/overloaded_pms", lambda: float(dc.overloaded_count())
-        )
-        if runtime is not None:
-            the_telemetry.register_counters(
-                "shard", runtime.ledger.telemetry_counters
-            )
+    dc, sim, streams = build_simulation(scenario, seed, trace=trace)
+    install_observability(dc, sim, tracer, profiler, telemetry)
 
     controller: Optional[FaultController] = None
     if plan is not None:
@@ -622,8 +484,8 @@ def _restore_env(
         observer = InvariantObserver(dc)
         sim.add_observer(observer)
     overload_observer: Optional[OverloadTraceObserver] = None
-    if the_tracer.enabled:
-        overload_observer = OverloadTraceObserver(dc, the_tracer)
+    if sim.tracer.enabled:
+        overload_observer = OverloadTraceObserver(dc, sim.tracer)
         sim.add_observer(overload_observer)
 
     policy.attach(dc, sim, streams, scenario.warmup_rounds)
@@ -637,18 +499,15 @@ def _restore_env(
         streams=streams,
         controller=controller,
         invariant_observer=observer,
-        sharding=runtime,
         eval_rounds_done=int(payload["progress"]["eval_rounds_done"]),
     )
     _restore_state(env, payload["state"], int(payload["schema_version"]))
-    if runtime is not None and shard_section is not None:
-        runtime.load_state_dict(shard_section)
     if overload_observer is not None:
         overload_observer.rearm()
-    if the_telemetry.enabled:
+    if sim.telemetry.enabled:
         telemetry_state = payload["state"].get("telemetry")
         if telemetry_state is not None:
-            the_telemetry.load_state_dict(telemetry_state)  # type: ignore[attr-defined]
+            sim.telemetry.load_state_dict(telemetry_state)  # type: ignore[attr-defined]
 
     dc.current_round = int(payload["progress"]["dc_current_round"])
     sim.resume_at(int(payload["progress"]["sim_round_index"]))

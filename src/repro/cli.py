@@ -12,7 +12,6 @@
     glap trace --vms 100 --rounds 180 --out trace.csv    # export a trace
     glap bench-compare baseline.json current.json        # CI perf gate
     glap run --telemetry --trace --bench-out B.json      # instrumented run
-    glap run --shards 4 --pms 1000                       # sharded multi-process
     glap analyze trace.jsonl --summary B.json            # run-health report
     glap analyze --diff a.jsonl b.jsonl                  # trace diff
     glap run --heartbeat hb.jsonl --postmortem pm.json   # live-observable run
@@ -181,31 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the finished run is bit-identical to an uninterrupted one",
     )
     p_run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="partition PMs/VMs into K shards, one worker process per "
-        "shard over shared-memory column views; results are bit-identical "
-        "at any K (when resuming, defaults to the checkpoint's sharding)",
-    )
-    p_run.add_argument(
-        "--shard-inline",
-        action="store_true",
-        help="with --shards, run the shard kernels inline in this process "
-        "instead of spawning workers (differential-debugging mode; "
-        "bit-identical to worker mode)",
-    )
-    p_run.add_argument(
-        "--wan-factor",
-        type=float,
-        default=0.25,
-        metavar="X",
-        help="with --shards, extra WAN energy surcharge for inter-shard "
-        "migrations as a fraction of intra-DC migration energy "
-        "(accounting only; default 0.25)",
-    )
-    p_run.add_argument(
         "--heartbeat",
         type=str,
         nargs="?",
@@ -368,16 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="overwrite BASELINE with CURRENT (after validating it) and exit 0",
     )
-    p_bench.add_argument(
-        "--ignore-telemetry",
-        type=str,
-        nargs="+",
-        default=[],
-        metavar="PREFIX",
-        help="exempt telemetry counters/gauges whose name starts with any "
-        "PREFIX from the drift gate (e.g. 'shard/' when diffing runs at "
-        "different --shards counts)",
-    )
 
     p_an = sub.add_parser(
         "analyze",
@@ -426,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch = sub.add_parser(
         "watch",
         help="tail a live run's heartbeat stream: health verdict, progress, "
-        "ETA, overload curve, shard imbalance; "
+        "ETA, overload curve; "
         "exit 0 healthy / 1 unhealthy / 2 usage error",
     )
     p_watch.add_argument(
@@ -517,8 +481,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.telemetry import TelemetryRegistry
     from repro.obs.tracer import JsonlTracer
 
-    from repro.experiments.sharding import ShardConfig
-
     scenario = _scenario_from_args(args)
     tracer = JsonlTracer(args.trace) if args.trace is not None else None
     profiler = PhaseProfiler() if args.profile else None
@@ -541,15 +503,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.telemetry or heartbeat is not None
         else None
     )
-    sharding = (
-        ShardConfig(
-            n_shards=args.shards,
-            workers=not args.shard_inline,
-            wan_factor=args.wan_factor,
-        )
-        if args.shards is not None
-        else None
-    )
     policy_kwargs = (
         _glap_policy_kwargs(args) if args.policy.lower() == "glap" else {}
     )
@@ -566,7 +519,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 telemetry=telemetry,
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_to=args.checkpoint,
-                sharding=sharding,
                 heartbeat=heartbeat,
                 recorder=recorder,
             )
@@ -580,7 +532,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 telemetry=telemetry,
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_path=args.checkpoint,
-                sharding=sharding,
                 heartbeat=heartbeat,
                 recorder=recorder,
             )
@@ -846,7 +797,6 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
         current,
         tolerance=args.tolerance,
         compare_timings=not args.skip_timings,
-        ignore_telemetry=args.ignore_telemetry,
     )
     print(format_findings(findings, tolerance=args.tolerance))
     return 1 if any(f.fails for f in findings) else 0

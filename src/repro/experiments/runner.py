@@ -33,7 +33,6 @@ from repro.checkpoint import RunEnv, restore_checkpoint, save_checkpoint
 from repro.core.glap import GlapPolicy
 from repro.datacenter.cluster import DataCenter
 from repro.experiments.scenarios import Scenario
-from repro.experiments.sharding import ShardConfig, ShardRuntime
 from repro.faults.controller import FaultController
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector
@@ -59,6 +58,7 @@ __all__ = [
     "build_trace",
     "build_simulation",
     "build_environment",
+    "install_observability",
     "TraceCache",
     "run_policy",
     "resume_policy",
@@ -118,7 +118,6 @@ def build_simulation(
     scenario: Scenario,
     seed: int,
     trace: Optional[TraceSource] = None,
-    sharding: Optional[ShardRuntime] = None,
 ) -> Tuple[DataCenter, Simulation, RngStreams]:
     """Construct (data centre, simulation, rng streams) for one run.
 
@@ -127,11 +126,6 @@ def build_simulation(
     ``trace`` (from :func:`build_trace` / :class:`TraceCache`) is used
     verbatim, skipping the redundant regeneration; the placement and
     engine streams are unaffected either way.
-
-    A :class:`~repro.experiments.sharding.ShardRuntime` backs the store
-    columns with its allocator (shared memory when workers are enabled)
-    and is installed on the built simulation — the sharded run stays
-    bit-identical to the unsharded one by construction.
     """
     streams = RngStreams(seed)
     if trace is None:
@@ -149,13 +143,10 @@ def build_simulation(
         scenario.n_vms,
         trace,
         round_seconds=scenario.round_seconds,
-        store_allocator=sharding.allocator if sharding is not None else None,
     )
     dc.place_randomly(streams.get("placement"))
     nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
     sim = Simulation(nodes, streams.get("engine"))
-    if sharding is not None:
-        sharding.install(dc, sim)
     return dc, sim, streams
 
 
@@ -164,6 +155,39 @@ def build_environment(
 ) -> Tuple[DataCenter, Simulation, RngStreams]:
     """Back-compat alias for :func:`build_simulation` without a trace."""
     return build_simulation(scenario, seed)
+
+
+def install_observability(
+    dc: DataCenter,
+    sim: Simulation,
+    tracer: Optional[Tracer] = None,
+    profiler: Optional[NullProfiler] = None,
+    telemetry: Optional[Telemetry] = None,
+) -> None:
+    """Install tracer, profiler and telemetry on a freshly built run.
+
+    Shared by :func:`run_policy` and checkpoint restore, so a resumed
+    registry's providers line up with the checkpointed series.  Called
+    before ``controller.install`` and ``policy.attach``, which register
+    their own providers after these, so the order is always (net, dc
+    gauges, faults, policy).  Each argument defaults to its shared no-op.
+    """
+    tracer = tracer if tracer is not None else NULL_TRACER
+    prof = profiler if profiler is not None else NULL_PROFILER
+    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+    dc.tracer = tracer
+    sim.tracer = tracer
+    sim.profiler = prof
+    sim.network.profiler = prof
+    sim.telemetry = telemetry
+    if telemetry.enabled:
+        telemetry.register_counters("net", sim.network.telemetry_counters)
+        # Data-centre level gauges: sampled straight off the columnar
+        # store's arrays (O(n_pms) vector ops), never consume randomness.
+        telemetry.register_gauge("dc/active_pms", lambda: float(dc.active_count()))
+        telemetry.register_gauge(
+            "dc/overloaded_pms", lambda: float(dc.overloaded_count())
+        )
 
 
 class TraceCache:
@@ -362,11 +386,6 @@ def _run_eval(
                 telemetry=sim.telemetry,
                 active_pms=dc.active_count(),
                 overloaded_pms=dc.overloaded_count(),
-                shard_imbalance=(
-                    env.sharding.phase_imbalance()
-                    if env.sharding is not None
-                    else None
-                ),
             )
         if (
             checkpoint_every is not None
@@ -385,10 +404,6 @@ def _run_eval(
             recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)
 
     sim.finish()  # exactly one on_simulation_end per logical run
-    if env.sharding is not None:
-        # Per-shard compute/wait measured by the coordinator joins the
-        # breakdown under shard/phase_* (no-op when profiling is off).
-        env.sharding.profile.merge_into_profiler(prof)
     if heartbeat is not None:
         heartbeat.complete()
     result = RunResult(
@@ -440,7 +455,6 @@ def run_policy(
     telemetry: Optional[Telemetry] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
-    sharding: Optional[ShardConfig] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
     recorder: Optional[FlightRecorder] = None,
 ) -> RunResult:
@@ -476,12 +490,6 @@ def run_policy(
     via :func:`resume_policy`.  ``checkpoint_every`` without a path is
     an error.
 
-    ``sharding`` (a :class:`~repro.experiments.sharding.ShardConfig`)
-    partitions the data centre across K shard worker processes over
-    shared memory — results are bit-identical for every K, including
-    K=1 vs no sharding at all (the golden suite asserts it); only the
-    new ``shard/*`` telemetry counters differ across K.
-
     ``heartbeat`` (a :class:`~repro.obs.heartbeat.HeartbeatWriter`)
     streams one JSONL record per cadence tick for ``glap watch``;
     ``recorder`` (a :class:`~repro.obs.recorder.FlightRecorder`) keeps a
@@ -502,42 +510,32 @@ def run_policy(
                 "rounds": scenario.rounds,
                 "warmup_rounds": scenario.warmup_rounds,
                 "round_seconds": scenario.round_seconds,
-                "n_shards": sharding.n_shards if sharding is not None else None,
             },
             heartbeat_path=heartbeat.path if heartbeat is not None else None,
         )
-    runtime: Optional[ShardRuntime] = None
-    if sharding is not None:
-        runtime = ShardRuntime(sharding, scenario.n_pms, scenario.n_vms, seed)
-    try:
-        with _FailureGuard(recorder, heartbeat):
-            return _run_policy_inner(
-                scenario,
-                policy,
-                seed,
-                runtime,
-                round_hook=round_hook,
-                trace=trace,
-                faults=faults,
-                check_invariants=check_invariants,
-                tracer=tracer,
-                profiler=profiler,
-                telemetry=telemetry,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                heartbeat=heartbeat,
-                recorder=recorder,
-            )
-    finally:
-        if runtime is not None:
-            runtime.shutdown()
+    with _FailureGuard(recorder, heartbeat):
+        return _run_policy_inner(
+            scenario,
+            policy,
+            seed,
+            round_hook=round_hook,
+            trace=trace,
+            faults=faults,
+            check_invariants=check_invariants,
+            tracer=tracer,
+            profiler=profiler,
+            telemetry=telemetry,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path,
+            heartbeat=heartbeat,
+            recorder=recorder,
+        )
 
 
 def _run_policy_inner(
     scenario: Scenario,
     policy: ConsolidationPolicy,
     seed: int,
-    runtime: Optional[ShardRuntime],
     round_hook: Optional[Callable[[int, DataCenter, Simulation], None]] = None,
     trace: Optional[TraceSource] = None,
     faults: Optional[FaultPlan] = None,
@@ -550,36 +548,14 @@ def _run_policy_inner(
     heartbeat: Optional[HeartbeatWriter] = None,
     recorder: Optional[FlightRecorder] = None,
 ) -> RunResult:
-    dc, sim, streams = build_simulation(scenario, seed, trace=trace, sharding=runtime)
+    dc, sim, streams = build_simulation(scenario, seed, trace=trace)
 
-    tracer = tracer if tracer is not None else NULL_TRACER
     if recorder is not None:
         # Tee every typed event through the flight ring; the inner
         # tracer (possibly the null one) keeps its contract unchanged.
-        tracer = recorder.wrap(tracer)
-    prof = profiler if profiler is not None else NULL_PROFILER
-    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-    dc.tracer = tracer
-    sim.tracer = tracer
-    sim.profiler = prof
-    sim.network.profiler = prof
-    # Installed before controller.install and policy.attach so both can
-    # register their counter providers; registration order is fixed
-    # (net, dc gauges, faults, policy) and re-run identically on resume
-    # (mirrored in restore_checkpoint).
-    sim.telemetry = telemetry
-    if telemetry.enabled:
-        telemetry.register_counters("net", sim.network.telemetry_counters)
-        # Data-centre level gauges: sampled straight off the columnar
-        # store's arrays (O(n_pms) vector ops), never consume randomness.
-        telemetry.register_gauge("dc/active_pms", lambda: float(dc.active_count()))
-        telemetry.register_gauge(
-            "dc/overloaded_pms", lambda: float(dc.overloaded_count())
-        )
-        if runtime is not None:
-            telemetry.register_counters(
-                "shard", runtime.ledger.telemetry_counters
-            )
+        tracer = recorder.wrap(tracer if tracer is not None else NULL_TRACER)
+    install_observability(dc, sim, tracer, profiler, telemetry)
+    tracer, prof, telemetry = sim.tracer, sim.profiler, sim.telemetry
 
     plan = faults if faults is not None else scenario.faults
     controller: Optional[FaultController] = None
@@ -637,9 +613,6 @@ def _run_policy_inner(
                 telemetry=telemetry,
                 active_pms=dc.active_count(),
                 overloaded_pms=dc.overloaded_count(),
-                shard_imbalance=(
-                    runtime.phase_imbalance() if runtime is not None else None
-                ),
             )
 
     policy.end_warmup(dc, sim)
@@ -655,7 +628,6 @@ def _run_policy_inner(
         collector=MetricsCollector(dc),
         controller=controller,
         invariant_observer=observer,
-        sharding=runtime,
     )
     return _run_eval(
         env,
@@ -677,7 +649,6 @@ def resume_policy(
     telemetry: Optional[Telemetry] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_to: Optional[Union[str, Path]] = None,
-    sharding: Optional[ShardConfig] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
     recorder: Optional[FlightRecorder] = None,
 ) -> RunResult:
@@ -693,11 +664,6 @@ def resume_policy(
     ``checkpoint_to`` (default: ``checkpoint_path``) is where continued
     checkpoints are written when ``checkpoint_every`` is set; a final
     checkpoint is written there whenever either is set.
-
-    ``sharding`` overrides the shard configuration of the resumed run;
-    by default a checkpoint written by a sharded run resumes with the
-    recorded shard count.  Because results are bit-identical across K,
-    resuming a 4-shard checkpoint at K=1 (or vice versa) is valid.
 
     ``heartbeat`` continues the original run's stream when pointed at
     the same file: the writer repairs a torn tail, rebuilds its counter
@@ -717,7 +683,6 @@ def resume_policy(
         tracer=tracer,
         profiler=profiler,
         telemetry=telemetry,
-        sharding=sharding,
     )
     scenario = env.scenario
     if recorder is not None:
@@ -730,11 +695,6 @@ def resume_policy(
                 "rounds": scenario.rounds,
                 "warmup_rounds": scenario.warmup_rounds,
                 "round_seconds": scenario.round_seconds,
-                "n_shards": (
-                    env.sharding.config.n_shards
-                    if env.sharding is not None
-                    else None
-                ),
                 "resumed_from_checkpoint": str(checkpoint_path),
             },
             telemetry=env.sim.telemetry if env.sim.telemetry.enabled else None,
@@ -756,19 +716,15 @@ def resume_policy(
     target = checkpoint_to if checkpoint_to is not None else (
         checkpoint_path if checkpoint_every is not None else None
     )
-    try:
-        with _FailureGuard(recorder, heartbeat):
-            return _run_eval(
-                env,
-                round_hook=round_hook,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=target,
-                heartbeat=heartbeat,
-                recorder=recorder,
-            )
-    finally:
-        if env.sharding is not None:
-            env.sharding.shutdown()
+    with _FailureGuard(recorder, heartbeat):
+        return _run_eval(
+            env,
+            round_hook=round_hook,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=target,
+            heartbeat=heartbeat,
+            recorder=recorder,
+        )
 
 
 def run_repetitions(

@@ -20,18 +20,12 @@ loads two :mod:`repro.obs.summary` artifacts and reports:
 Timing keys present in only one summary are reported but do not fail:
 instrumentation legitimately gains phases across PRs, and a missing
 phase cannot hide a regression in ``wall_s``, which is always compared.
-
-``ignore_telemetry`` exempts counter/gauge name prefixes from the
-telemetry gate.  The shard-determinism CI job needs this: ``shard/*``
-counters describe the *partitioning* (how many messages crossed a shard
-boundary), which legitimately differs between ``--shards 1`` and
-``--shards 4`` even though the simulation itself is bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping
 
 __all__ = ["Finding", "compare_summaries", "format_findings"]
 
@@ -88,7 +82,6 @@ def compare_summaries(
     *,
     tolerance: float = 0.15,
     compare_timings: bool = True,
-    ignore_telemetry: Sequence[str] = (),
 ) -> List[Finding]:
     """Compare two loaded summaries; see the module docstring for rules."""
     if tolerance < 0:
@@ -143,9 +136,7 @@ def compare_summaries(
             )
         )
     elif b_tel is not None and c_tel is not None:
-        findings.extend(
-            _compare_telemetry(b_tel, c_tel, ignore=tuple(ignore_telemetry))
-        )
+        findings.extend(_compare_telemetry(b_tel, c_tel))
 
     if compare_timings:
         b_tim = _flatten_timings(baseline.get("timings", {}))
@@ -195,20 +186,12 @@ def compare_summaries(
 def _compare_telemetry(
     baseline: Mapping[str, Any],
     current: Mapping[str, Any],
-    *,
-    ignore: Tuple[str, ...] = (),
 ) -> List[Finding]:
     """Gate telemetry totals and final gauge values like metrics."""
-
-    def ignored(name: str) -> bool:
-        return any(name.startswith(prefix) for prefix in ignore)
-
     findings: List[Finding] = []
     b_tot = baseline.get("totals", {})
     c_tot = current.get("totals", {})
     for key in sorted(set(b_tot) | set(c_tot)):
-        if ignored(key):
-            continue
         if key not in b_tot or key not in c_tot:
             findings.append(
                 Finding(
@@ -233,8 +216,6 @@ def _compare_telemetry(
 
     b_g, c_g = baseline.get("gauges", {}), current.get("gauges", {})
     for name in sorted(set(b_g) | set(c_g)):
-        if ignored(name):
-            continue
         if name not in b_g or name not in c_g:
             findings.append(
                 Finding(

@@ -2,14 +2,14 @@
 
 Post-hoc observability (telemetry series, traces, bench summaries) only
 becomes readable after a run finishes — useless for a multi-hour
-100k-PM or multi-shard federation run.  The heartbeat is the live
-counterpart: the runner appends one schema-versioned JSONL record per
-cadence tick with everything an operator (or ``glap watch``) needs —
-round and stage, telemetry counter deltas since the previous tick, the
-latest gauge samples (live Q-cosine), PM activity levels, shard
-imbalance, and ETA inputs — through the single-``write(2)``
-``O_APPEND`` appends of :func:`repro.util.io.append_jsonl`, so a
-concurrent tail-reader never sees a torn interior line.
+100k-PM run.  The heartbeat is the live counterpart: the runner appends
+one schema-versioned JSONL record per cadence tick with everything an
+operator (or ``glap watch``) needs — round and stage, telemetry counter
+deltas since the previous tick, the latest gauge samples (live
+Q-cosine), PM activity levels, and ETA inputs — through the
+single-``write(2)`` ``O_APPEND`` appends of
+:func:`repro.util.io.append_jsonl`, so a concurrent tail-reader never
+sees a torn interior line.
 
 House rule, same as the tracer/profiler/telemetry: the heartbeat reads
 clocks but **never the simulation's RNG streams**, so a fully
@@ -17,8 +17,7 @@ instrumented run stays bit-identical to the golden digests.  To make
 that testable, every record keeps its deterministic payload (round,
 stage, counter deltas, gauge values, PM counts) at the top level and
 quarantines everything wall-clock-derived — elapsed seconds, unix
-timestamps, the ``shard/phase_max_over_mean`` imbalance gauge (a ratio
-of *measured worker compute times*) — under the ``"timing"`` key.  Two
+timestamps — under the ``"timing"`` key.  Two
 runs of the same (scenario, seed) produce tick streams identical
 modulo ``"timing"``; the golden suite asserts exactly that.
 
@@ -183,7 +182,6 @@ class HeartbeatWriter:
         telemetry: Optional[Any] = None,
         active_pms: Optional[int] = None,
         overloaded_pms: Optional[int] = None,
-        shard_imbalance: Optional[float] = None,
     ) -> None:
         """Append one tick record for the round just executed.
 
@@ -221,13 +219,10 @@ class HeartbeatWriter:
             record["overloaded_pms"] = int(overloaded_pms)
         record["counters"] = counters
         record["gauges"] = gauges
-        timing: Dict[str, float] = {
+        record["timing"] = {
             "wall_s": time.perf_counter() - self._t0,
             "unix_time": time.time(),
         }
-        if shard_imbalance is not None:
-            timing["shard/phase_max_over_mean"] = float(shard_imbalance)
-        record["timing"] = timing
         append_jsonl(record, self.path)
         self.ticks_written += 1
 

@@ -19,10 +19,9 @@ column, siblings sorted by self time so the hot phase leads.
 the figure comparable to the measured wall time of the instrumented
 region (the test suite asserts the two agree within tolerance).
 
-External timings (per-shard worker compute measured in another
-process) fold in through :meth:`PhaseProfiler.add`; they join the
-breakdown and the tree but never :attr:`top_level_s`, which stays the
-coordinator's own wall time.
+External timings (measured outside a ``phase`` span) fold in through
+:meth:`PhaseProfiler.add`; they join the breakdown and the tree but
+never :attr:`top_level_s`, which stays this process's own wall time.
 
 The default at every call site is :data:`NULL_PROFILER`; hot paths guard
 with ``if profiler.enabled:`` so unprofiled runs pay one attribute check
@@ -162,8 +161,7 @@ class PhaseProfiler(NullProfiler):
     ) -> None:
         """Fold an externally measured timing into the breakdown.
 
-        Used by the shard coordinator to merge per-worker compute and
-        barrier-wait times measured in other processes.  The phase gets
+        For timings measured outside a ``phase`` span.  The phase gets
         ``seconds`` of both inclusive and self time (external timings
         carry no nesting) and joins the tree under ``parent``, but never
         contributes to :attr:`top_level_s` — that remains this process's

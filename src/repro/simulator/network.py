@@ -140,8 +140,7 @@ class Network:
         #: Optional message observer, called for every delivery attempt
         #: as ``observer(msg, dropped)`` *after* the drop decision.  It
         #: must be pure accounting: it may not mutate the message, draw
-        #: randomness, or influence delivery (the cross-shard ledger in
-        #: :mod:`repro.experiments.sharding` hangs off this hook).
+        #: randomness, or influence delivery.
         self.observer: Optional[Callable[[Message, bool], None]] = None
 
     # -- fault-model configuration (the public chaos API) -------------------

@@ -81,6 +81,14 @@ def test_midpoint_resume_matches_golden(policy_name, variant, tmp_path):
     assert digest_run(result) == _golden(f"{policy_name}/{variant}")
 
 
+def _provider_names(registry):
+    """Counter sources and gauge names, in registration order."""
+    return (
+        [source for source, _ in registry._sources],
+        [gauge.name for gauge in registry._gauge_specs],
+    )
+
+
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 def test_resume_preserves_telemetry_series_exactly(policy_name, tmp_path):
     """Telemetry across a checkpoint cut == telemetry of an unbroken run.
@@ -88,7 +96,9 @@ def test_resume_preserves_telemetry_series_exactly(policy_name, tmp_path):
     The registry's full per-round series, gauge samples and push/prev
     counters ride in the checkpoint, so a run interrupted at its
     midpoint and resumed with a *fresh* registry must end with state
-    bit-identical to the never-stopped instrumented run.
+    bit-identical to the never-stopped instrumented run.  Registrations
+    are not checkpoint state, so the resumed run must also register the
+    same providers in the same order as the fresh one.
     """
     from repro.obs.telemetry import TelemetryRegistry
 
@@ -123,6 +133,8 @@ def test_resume_preserves_telemetry_series_exactly(policy_name, tmp_path):
 
     assert digest_run(resumed) == digest_run(result)
     assert second_half.state_dict() == unbroken.state_dict()
+    assert _provider_names(second_half) == _provider_names(unbroken)
+    assert _provider_names(unbroken)[1][:2] == ["dc/active_pms", "dc/overloaded_pms"]
     # the cut really happened mid-series
     assert len(first_half.rounds) < len(unbroken.rounds)
 

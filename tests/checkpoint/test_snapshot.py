@@ -7,7 +7,6 @@ import pytest
 from repro.checkpoint import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     load_checkpoint,
     restore_checkpoint,
 )
@@ -61,13 +60,22 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="schema"):
             load_checkpoint(bad)
 
-    def test_rejects_future_schema_version(self, tmp_path):
+    @pytest.mark.parametrize(
+        "version, message",
+        [
+            (99, "schema_version 99 unsupported"),
+            (3, r"sharded checkpoints \(schema_version 3\) are no longer supported"),
+        ],
+        ids=["future", "retired-v3"],
+    )
+    def test_rejects_future_schema_version(self, tmp_path, version, message):
         _, ckpt = _checkpointed_run(tmp_path)
         payload = json.loads(ckpt.read_text())
-        payload["schema_version"] = max(SUPPORTED_SCHEMA_VERSIONS) + 1
+        payload["schema_version"] = version
         ckpt.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="schema_version"):
+        with pytest.raises(ValueError, match=message) as excinfo:
             load_checkpoint(ckpt)
+        assert str(ckpt) in str(excinfo.value)
 
     def test_rejects_missing_state_section(self, tmp_path):
         _, ckpt = _checkpointed_run(tmp_path)

@@ -29,7 +29,6 @@ from repro.experiments.runner import (
     make_policy,
     resume_policy,
 )
-from repro.experiments.sharding import ShardConfig
 from repro.obs.heartbeat import HeartbeatWriter, load_heartbeat
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.recorder import FlightRecorder, load_bundle
@@ -102,23 +101,6 @@ def test_heartbeat_run_matches_golden(policy_name, tmp_path, update_golden):
     assert recorder.dumped is None
     report = watch_report_from_path(heartbeat.path)
     assert report["healthy"] is True and report["markers"]["complete"] is True
-
-
-@pytest.mark.parametrize("n_shards", [1, 4])
-def test_sharded_heartbeat_run_matches_golden(n_shards, tmp_path):
-    """Heartbeat + recorder on top of the K-shard worker path: still the
-    pinned digest, with the imbalance gauge riding every tick's timing."""
-    result, heartbeat, _ = _observed_run(
-        "GLAP",
-        tmp_path,
-        label=f"k{n_shards}",
-        sharding=ShardConfig(n_shards=n_shards),
-    )
-    fixture = json.loads(FIXTURE_PATH.read_text())
-    assert digest_run(result) == fixture["GLAP/chaos40"]
-    ticks = [r for r in load_heartbeat(heartbeat.path) if r["kind"] == "tick"]
-    assert len(ticks) == N_ROUNDS
-    assert all(t["timing"]["shard/phase_max_over_mean"] >= 1.0 for t in ticks)
 
 
 def test_same_seed_streams_identical_modulo_timing(tmp_path):
