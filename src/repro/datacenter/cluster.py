@@ -10,6 +10,7 @@ and the baselines.
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -335,15 +336,63 @@ class DataCenter:
             (not pm.asleep for pm in self.pms), dtype=bool, count=self.n_pms
         )
 
-    def pm_demand_matrix(self, *, use_average: bool = False) -> np.ndarray:
+    def vm_demand_matrix(self) -> np.ndarray:
+        """(n_vms, N_RESOURCES) current absolute demand ([MIPS, MB]) per
+        VM; row ``v`` equals ``vm(v).current_demand_abs()``.  Read-only."""
+        out = self._cur * self._vm_cap
+        out.setflags(write=False)
+        return out
+
+    def member_matrix(self) -> np.ndarray:
+        """(n_pms, k_max) VM ids per PM in membership insertion order,
+        padded with -1 (``k_max`` is the largest VM count on one PM)."""
+        if self.store is not None:
+            rows: Sequence[Sequence[int]] = self.store.members
+        else:
+            rows = [[vm.vm_id for vm in pm.vms] for pm in self.pms]
+        counts = np.fromiter(map(len, rows), dtype=np.intp, count=self.n_pms)
+        out = np.full((self.n_pms, int(counts.max())), -1, dtype=np.intp)
+        # A row-major boolean assignment fills each row's first slots.
+        out[np.arange(out.shape[1]) < counts[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=np.intp, count=int(counts.sum())
+        )
+        return out
+
+    def _sum_in_member_order(self, per_vm: np.ndarray) -> np.ndarray:
+        """Per-PM sums of per-VM values (indexed by vm_id), each PM's VMs
+        added one at a time in membership insertion order."""
+        padded = np.zeros((self.n_vms + 1,) + per_vm.shape[1:], dtype=np.float64)
+        padded[:-1] = per_vm
+        out = np.zeros((self.n_pms,) + per_vm.shape[1:], dtype=np.float64)
+        # Padding slots (-1) read the zero row and x + 0.0 == x, so column
+        # by column every row accumulates exactly its own VMs, in order.
+        for column in np.ascontiguousarray(self.member_matrix().T):
+            out += np.take(padded, column, axis=0)
+        return out
+
+    def pm_demand_matrix(
+        self, *, use_average: bool = False, member_order: bool = False
+    ) -> np.ndarray:
         """(n_pms, N_RESOURCES) absolute demand ([MIPS, MB]) aggregated
         per host PM, uncapped; sleep state is ignored (a sleeping PM's
         hosted VMs still show up, as in ``PhysicalMachine.demand_vector``).
+
+        By default each PM's VMs are summed in ``vm_id`` order.
+        ``member_order=True`` sums them sequentially in membership
+        insertion order instead, the order ``PhysicalMachine.demand_vector``
+        and ``cpu_utilization`` use, so every row equals that PM's
+        ``demand_vector()`` bit for bit.  The two orders differ in the
+        last bits once migrations have reordered a PM's membership.
 
         Returned read-only: it is a derived snapshot, and freezing it
         guarantees a caller mutating its copy of "the utilisations"
         cannot silently corrupt simulator state.
         """
+        if member_order:
+            frac = self._avg if use_average else self._cur
+            out = self._sum_in_member_order(frac * self._vm_cap)
+            out.setflags(write=False)
+            return out
         if self.store is not None:
             out = self.store.pm_demand_matrix(use_average=use_average)
             out.setflags(write=False)
@@ -361,8 +410,11 @@ class DataCenter:
         out.setflags(write=False)
         return out
 
-    def pm_cpu_demand_mips(self) -> np.ndarray:
-        """(n_pms,) aggregate current CPU demand in MIPS, uncapped."""
+    def pm_cpu_demand_mips(self, *, member_order: bool = False) -> np.ndarray:
+        """(n_pms,) aggregate current CPU demand in MIPS, uncapped.
+        ``member_order`` as in :meth:`pm_demand_matrix`."""
+        if member_order:
+            return self._sum_in_member_order(self._cur[:, CPU] * self._vm_cpu_mips)
         if self.store is not None:
             return self.store.pm_cpu_demand_mips()
         hosts = self.placement()

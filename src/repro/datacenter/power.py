@@ -9,6 +9,8 @@ the paper's PABFD baseline comes from.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.util.validation import check_fraction, check_non_negative
 
 __all__ = ["LinearPowerModel"]
@@ -37,6 +39,12 @@ class LinearPowerModel:
         """Instantaneous power draw in watts at the given CPU utilisation."""
         u = check_fraction(cpu_utilization, "cpu_utilization")
         return self.idle_watts + (self.max_watts - self.idle_watts) * u
+
+    def power_array(self, cpu_utilization: np.ndarray) -> np.ndarray:
+        """:meth:`power` element-wise over an array of utilisations, with
+        the same float operations (no range check: callers pass capped
+        utilisations)."""
+        return self.idle_watts + (self.max_watts - self.idle_watts) * cpu_utilization
 
     def energy_joules(self, cpu_utilization: float, seconds: float) -> float:
         """Energy over an interval of constant utilisation."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.pabfd import PabfdConfig, PabfdController, PabfdPolicy
+from repro.baselines.pabfd import COUNTERS, PabfdConfig, PabfdController, PabfdPolicy
 from repro.datacenter.cluster import DataCenter
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
@@ -47,7 +47,7 @@ class TestThresholds:
         for _ in range(5):
             dc.advance_round()
             controller.step(sim)
-        assert len(controller._history[0]) >= 5
+        assert len(controller.history(0)) >= 5
 
     def test_stable_history_gives_high_threshold(self):
         dc, sim, controller = build(cpu=0.3)
@@ -67,6 +67,8 @@ class TestOverloadHandling:
             controller.step(sim)
         assert not dc.pm(0).is_overloaded()
         assert dc.migration_count() > 0
+        assert controller.hosts_over_threshold > 0
+        assert controller.vms_shed > 0
 
     def test_mmt_selection_smallest_memory_first(self):
         trace = make_constant_trace(6, 20, cpu=0.9, mem=0.5)
@@ -107,6 +109,7 @@ class TestUnderloadDraining:
             dc.advance_round()
             controller.step(sim)
         assert dc.active_count() == 2
+        assert controller.drains_attempted == controller.drains_failed > 0
 
     def test_iterative_drain_can_close_multiple_hosts(self):
         dc, sim, controller = build(
@@ -158,6 +161,7 @@ class TestWakeUps:
             controller.step(sim)
         assert controller.wake_ups == 0
         assert dc.pm(2).asleep
+        assert controller.placements_failed > 0
 
 
 class TestPolicy:
@@ -181,3 +185,44 @@ class TestPolicy:
         policy.attach(dc, sim, RngStreams(0), warmup_rounds=5)
         policy.end_warmup(dc, sim)
         assert policy.controller.enabled
+
+
+class TestCheckpointState:
+    def run(self):
+        dc, sim, controller = build(
+            n_pms=3, n_vms=7, cpu=0.2, mem=0.1, placement=[0, 0, 0, 1, 1, 1, 2],
+            config=PabfdConfig(control_period_rounds=2, history_window=4),
+        )
+        for _ in range(7):  # wraps the 4-sample windows
+            dc.advance_round()
+            controller.step(sim)
+        policy = PabfdPolicy(controller.config)
+        policy.controller = controller
+        return dc, controller, policy.state_dict()
+
+    def restore(self, dc, config, state):
+        policy = PabfdPolicy(config)
+        policy.controller = PabfdController(dc, config)
+        policy.load_state_dict(state)
+        return policy.controller
+
+    def test_round_trip(self):
+        dc, controller, state = self.run()
+        assert state["histories"]["0"] == controller.history(0)
+        assert max(len(controller.history(pm.pm_id)) for pm in dc.pms) == 4
+        restored = self.restore(dc, controller.config, state)
+        assert restored.counters() == controller.counters()
+        assert restored.control_passes == 3
+        for pm in dc.pms:
+            assert restored.history(pm.pm_id) == controller.history(pm.pm_id)
+
+    def test_checkpoint_without_decision_counters(self):
+        dc, controller, state = self.run()
+        older = {
+            k: state[k]
+            for k in ("histories", "enabled", "rounds_seen", "switch_offs", "wake_ups")
+        }
+        restored = self.restore(dc, controller.config, older)
+        expected = dict.fromkeys(COUNTERS, 0)
+        expected.update(switch_offs=controller.switch_offs, wake_ups=controller.wake_ups)
+        assert restored.counters() == expected

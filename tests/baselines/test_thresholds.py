@@ -87,3 +87,56 @@ class TestUpperThresholds:
         assert 0.5 <= t <= 1.0
         t2 = iqr_upper_threshold(history)
         assert 0.5 <= t2 <= 1.0
+
+
+#: One window matrix: (rows, width, per-row sample counts, seed, whether
+#: the empty slots are scattered or trailing, whether values are tied).
+windows = st.integers(1, 40).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.integers(0, width), min_size=1, max_size=12),
+        st.integers(0, 2**16),
+        st.booleans(),
+        st.booleans(),
+    )
+)
+
+
+def make_windows(width, counts, seed, scattered, tied):
+    rng = np.random.default_rng(seed)
+    if tied:
+        out = rng.choice([0.1, 0.25, 0.5, 0.75, 1.0], size=(len(counts), width))
+    else:
+        out = rng.uniform(0.0, 1.0, size=(len(counts), width))
+    for row, count in zip(out, counts):
+        empty = rng.permutation(width)[count:] if scattered else np.arange(count, width)
+        row[empty] = np.nan
+    return out
+
+
+class TestRowThresholds:
+    """``mad_upper_threshold`` on an (n, W) window matrix."""
+
+    @given(windows, st.sampled_from([0.0, 1.0, 2.58]), st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_equals_the_1d_call(self, spec, safety, floor):
+        matrix = make_windows(*spec)
+        got = mad_upper_threshold(matrix, safety=safety, floor=floor)
+        assert got.shape == (matrix.shape[0],)
+        for row, value in zip(matrix, got):
+            samples = row[~np.isnan(row)].tolist()
+            # Bit-identical, not approximately equal.
+            assert value == mad_upper_threshold(samples, safety=safety, floor=floor)
+
+    def test_rows_shorter_than_three_give_one(self):
+        matrix = np.full((3, 6), np.nan)
+        matrix[1, :2] = [0.0, 1.0]
+        matrix[2, :] = [0.0, 1.0] * 3  # MAD 0.5: the floor
+        assert mad_upper_threshold(matrix).tolist() == [1.0, 1.0, 0.5]
+
+    def test_no_rows(self):
+        assert mad_upper_threshold(np.empty((0, 30))).shape == (0,)
+
+    def test_invalid_safety_rejected(self):
+        with pytest.raises(ValueError):
+            mad_upper_threshold(np.zeros((2, 5)), safety=-1.0)

@@ -137,6 +137,19 @@ def test_resume_preserves_telemetry_series_exactly(policy_name, tmp_path):
     assert _provider_names(unbroken)[1][:2] == ["dc/active_pms", "dc/overloaded_pms"]
     # the cut really happened mid-series
     assert len(first_half.rounds) < len(unbroken.rounds)
+    if policy_name == "PABFD":
+        # The decision counters ride in the policy state: the resumed
+        # run continues every series, with passes on both sides of the cut.
+        from repro.baselines.pabfd import COUNTERS
+
+        keys = [f"pabfd/{name}" for name in COUNTERS]
+        assert set(keys) <= set(unbroken.series)
+        assert [second_half.series[k] for k in keys] == [
+            unbroken.series[k] for k in keys
+        ]
+        passes = unbroken.series["pabfd/control_passes"]
+        cut = len(first_half.rounds)
+        assert sum(passes[:cut]) > 0 and sum(passes[cut:]) > 0
 
 
 _RESUME_SCRIPT = """

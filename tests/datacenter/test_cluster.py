@@ -174,3 +174,43 @@ class TestAggregates:
         # Placement and demand state untouched.
         assert vm.host_id is not None
         assert all(v.monitor.count == 2 for v in dc.vms)
+
+
+@pytest.mark.parametrize("backend", ["columnar", "object"])
+class TestMemberOrderViews:
+    """The insertion-order views PABFD's control pass is built on."""
+
+    def make_shuffled(self, backend):
+        # Migrations append to the destination and cut from the middle of
+        # the source, so membership order stops being vm_id order.
+        trace = make_trace(60, 4, seed=3)
+        dc = DataCenter(6, 60, trace, backend=backend)
+        dc.place_randomly(np.random.default_rng(3))
+        dc.advance_round()
+        rng = np.random.default_rng(4)
+        for vm_id in rng.permutation(60)[:40]:
+            dst = (dc.vm(int(vm_id)).host_id + int(rng.integers(1, 6))) % 6
+            dc.migrate(int(vm_id), dst)
+        return dc
+
+    def test_member_matrix_rows_are_membership_order(self, backend):
+        dc = self.make_shuffled(backend)
+        members = dc.member_matrix()
+        for pm, row in zip(dc.pms, members):
+            ids = [v.vm_id for v in pm.vms]
+            assert row.tolist() == ids + [-1] * (members.shape[1] - len(ids))
+
+    def test_member_order_rows_equal_demand_vector_bitwise(self, backend):
+        dc = self.make_shuffled(backend)
+        demand = dc.pm_demand_matrix(member_order=True)
+        assert not demand.flags.writeable
+        for pm in dc.pms:
+            np.testing.assert_array_equal(demand[pm.pm_id], pm.demand_vector())
+            assert min(1.0, demand[pm.pm_id, 0] / pm.spec.cpu_mips) == pm.cpu_utilization()
+
+    def test_per_vm_demand_view(self, backend):
+        dc = self.make_shuffled(backend)
+        per_vm = dc.vm_demand_matrix()
+        assert not per_vm.flags.writeable
+        for vm in dc.vms:
+            np.testing.assert_array_equal(per_vm[vm.vm_id], vm.current_demand_abs())

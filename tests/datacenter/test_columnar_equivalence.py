@@ -97,6 +97,10 @@ def assert_equivalent(obj: DataCenter, col: DataCenter) -> None:
             obj.pm_demand_matrix(use_average=use_average),
             col.pm_demand_matrix(use_average=use_average),
         )
+        np.testing.assert_array_equal(
+            obj.pm_demand_matrix(use_average=use_average, member_order=True),
+            col.pm_demand_matrix(use_average=use_average, member_order=True),
+        )
     np.testing.assert_array_equal(obj.cpu_utilizations(), col.cpu_utilizations())
     np.testing.assert_array_equal(obj.awake_mask(), col.awake_mask())
     assert obj.overloaded_count() == col.overloaded_count()

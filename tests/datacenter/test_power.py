@@ -1,5 +1,6 @@
 """Tests for repro.datacenter.power — the linear power model."""
 
+import numpy as np
 import pytest
 
 from repro.datacenter.power import LinearPowerModel
@@ -49,3 +50,8 @@ class TestLinearPowerModel:
     def test_rejects_negative_watts(self):
         with pytest.raises(ValueError):
             LinearPowerModel(idle_watts=-1.0)
+
+    def test_power_array_matches_scalar_power(self):
+        model = LinearPowerModel()
+        u = np.linspace(0.0, 1.0, 37)
+        assert model.power_array(u).tolist() == [model.power(float(x)) for x in u]
